@@ -56,7 +56,7 @@ bench-json:
 
 # bench-gate is the regression gate: a fresh run is diffed against the
 # committed BENCH_baseline.json and any benchmark past its per-metric
-# threshold fails the target loudly — allocs/op +20% (deterministic
+# threshold fails the target loudly — allocs/op and B/op +20% (deterministic
 # count, the tight gate) and ns/op +100% (wall-clock on shared hosts
 # drifts ±50% with neighbor load, so it only gates doublings).
 # Unlike the bench-json smoke artifact this run uses the default

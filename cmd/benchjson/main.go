@@ -15,8 +15,8 @@
 //
 // With -baseline the run is additionally gated against an archived
 // report: any benchmark whose gated metric grew past its threshold over
-// the baseline (allocs/op +20%, ns/op +100% — see gateThresholds for why
-// they differ) fails the command loudly (stderr lists every regression,
+// the baseline (allocs/op and B/op +20%, ns/op +100% — see
+// gateThresholds for why they differ) fails the command loudly (stderr lists every regression,
 // exit status 1) AFTER the artifact is written, so the evidence survives
 // the failure. Repeated results from a -count=N run collapse to the
 // per-benchmark best on both sides, and names are matched with the "-N"
@@ -85,15 +85,17 @@ func main() {
 
 // gateThresholds maps each gated metric to the relative growth over
 // baseline that fails the comparison. The thresholds differ because the
-// metrics differ in kind: allocs/op is a deterministic count (measured
-// cross-run spread on the scheduling benchmarks is under 5%), so it
-// carries the tight 20% gate; ns/op on shared hosts spikes past +60%
+// metrics differ in kind: allocs/op and B/op are deterministic counts
+// (measured cross-run spread on the scheduling benchmarks is under 5%),
+// so they carry the tight 20% gate — B/op catches a change that
+// allocates fewer but larger blocks; ns/op on shared hosts spikes past +60%
 // with neighbor load even as a best-of-N statistic, so wall-clock gates
 // only on doubling — unambiguously a real regression — and relies on the
 // allocation gate to catch the quiet ones. The census metrics
 // (oracle-MB, peakRSS-MB) track machine state too loosely to gate at all.
 var gateThresholds = map[string]float64{
 	"allocs/op": 0.20,
+	"B/op":      0.20,
 	"ns/op":     1.00,
 }
 
@@ -162,7 +164,7 @@ func diffBaseline(rep *Report, path string) ([]string, error) {
 			continue
 		}
 		matched++
-		for _, unit := range []string{"ns/op", "allocs/op"} {
+		for _, unit := range []string{"ns/op", "B/op", "allocs/op"} {
 			threshold := gateThresholds[unit]
 			got, gotOK := repByName[name][unit]
 			want, wantOK := b[unit]

@@ -167,7 +167,7 @@ func TestStripProcSuffix(t *testing.T) {
 }
 
 // TestDiffBaseline pins the gate semantics: growth past the per-metric
-// threshold (ns/op +100%, allocs/op +20%) regresses, improvements and
+// threshold (ns/op +100%, allocs/op and B/op +20%) regresses, improvements and
 // unknown benchmarks don't, and a baseline sharing no names is a hard
 // error.
 func TestDiffBaseline(t *testing.T) {
@@ -214,6 +214,26 @@ func TestDiffBaseline(t *testing.T) {
 	}
 	if len(regs) != 1 || !strings.Contains(regs[0], "allocs/op") {
 		t.Fatalf("regs = %v, want the allocs/op regression", regs)
+	}
+
+	// Bytes gate at the same +20%: 15% more is within it, 30% is not.
+	base.Results[0].Metrics["B/op"] = 1e6
+	path = writeBaseline(t, base)
+	rep.Results[0].Metrics = map[string]float64{"ns/op": 100, "allocs/op": 1000, "B/op": 1.15e6}
+	regs, err = diffBaseline(rep, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 {
+		t.Fatalf("regs = %v, want none: B/op +15%% is within the gate", regs)
+	}
+	rep.Results[0].Metrics["B/op"] = 1.3e6
+	regs, err = diffBaseline(rep, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkA: B/op") {
+		t.Fatalf("regs = %v, want the B/op regression", regs)
 	}
 
 	// No shared names: hard error, not a silent pass.

@@ -57,6 +57,20 @@ var peSlabFields = map[string]bool{
 	"stablematch.Matcher.used":        true,
 	"stablematch.Matcher.tenants":     true,
 	"stablematch.Matcher.free":        true,
+	// core's recycled per-call state: the append-only slabs, and the
+	// memos and per-group tables that hold their carvings. A carving
+	// may flow anywhere inside the Schedule call (into the matcher, the
+	// preference memo), never out of it.
+	"core.runState.ints":      true,
+	"core.runState.nodes":     true,
+	"core.runState.dists":     true,
+	"core.runState.prefs":     true,
+	"core.runState.rows":      true,
+	"core.runState.peerSrv":   true,
+	"core.runState.classes":   true,
+	"core.runState.propPrefs": true,
+	"core.runState.votes":     true,
+	"core.runState.hostPrefs": true,
 }
 
 // PoolEscape is the v3 pool/slab lifetime check.

@@ -35,6 +35,7 @@ import (
 var puRoots = map[string]bool{
 	"netstate.(Oracle).Dist":          true,
 	"netstate.(Oracle).DistRow":       true,
+	"netstate.(Oracle).DistRowInto":   true,
 	"netstate.(Oracle).ShortestPath":  true,
 	"netstate.(Oracle).PathDAG":       true,
 	"netstate.(Oracle).NearestByDist": true,
@@ -91,8 +92,11 @@ var puBlessed = map[string]map[string]bool{
 		"netstate.Oracle.access":    true,
 		"netstate.Oracle.liveSeen":  true,
 	},
-	// Per-source distance rows: atomic-pointer publish of a fresh row.
-	"netstate.(Oracle).DistRow": {"netstate.Oracle.distRows": true},
+	// Per-source distance rows: atomic-pointer publish of a fresh row
+	// (memoDistRow in the module; the golden fixture's miniature oracle
+	// publishes from DistRow itself).
+	"netstate.(Oracle).memoDistRow": {"netstate.Oracle.distRows": true},
+	"netstate.(Oracle).DistRow":     {"netstate.Oracle.distRows": true},
 	// Pair-keyed memo maps, filled under pairMu.
 	"netstate.(Oracle).ShortestPath":  {"netstate.Oracle.paths": true},
 	"netstate.(Oracle).PathDAG":       {"netstate.Oracle.dags": true},

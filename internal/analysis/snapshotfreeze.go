@@ -62,6 +62,7 @@ var sfSources = map[string]bool{
 	"(Oracle).Snapshot":          true,
 	"(Oracle).Dist":              true,
 	"(Oracle).DistRow":           true,
+	"(Oracle).DistRowInto":       true,
 	"(Oracle).ShortestPath":      true,
 	"(Oracle).PathDAG":           true,
 	"(Oracle).NearestByDist":     true,

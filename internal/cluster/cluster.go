@@ -328,11 +328,20 @@ func (c *Cluster) Validate() error {
 // Snapshot captures the current placement so it can be restored after a
 // tentative optimization pass.
 func (c *Cluster) Snapshot() map[ContainerID]topology.NodeID {
-	m := make(map[ContainerID]topology.NodeID, len(c.containers))
-	for _, ct := range c.containers {
-		m[ct.ID] = ct.server
+	return c.SnapshotInto(nil)
+}
+
+// SnapshotInto is Snapshot into dst's storage: dst is cleared and
+// refilled (a new map when dst is nil) and returned.
+func (c *Cluster) SnapshotInto(dst map[ContainerID]topology.NodeID) map[ContainerID]topology.NodeID {
+	if dst == nil {
+		dst = make(map[ContainerID]topology.NodeID, len(c.containers))
 	}
-	return m
+	clear(dst)
+	for _, ct := range c.containers {
+		dst[ct.ID] = ct.server
+	}
+	return dst
 }
 
 // Restore reverts to a snapshot produced by Snapshot.

@@ -47,12 +47,24 @@ type Controller struct {
 	// (dense: node IDs are compact). Only switch entries are ever nonzero.
 	load []float64
 
-	// fitsAll memoizes FitsEverywhere per rate-bit-pattern, valid for one
-	// oracle epoch (any Install/Uninstall/Reset/topology change bumps it).
-	fitsAllEpoch uint64
-	fitsAllValid bool
-	fitsAll      map[uint64]bool
+	// fitsAll memoizes FitsEverywhere per rate bit-pattern. An entry
+	// answers only in the oracle epoch it was computed in (any
+	// Install/Uninstall/Reset/topology change bumps it), so an epoch bump
+	// never has to clear the map — clearing is O(capacity), and Install
+	// bumps the epoch once per flow. The map is cleared only when it
+	// holds fitsAllLimit rates.
+	fitsAll map[uint64]fitsEntry
 }
+
+// fitsEntry is one FitsEverywhere answer and the epoch it holds for.
+type fitsEntry struct {
+	epoch uint64
+	fits  bool
+}
+
+// fitsAllLimit bounds the FitsEverywhere memo; a clear at the limit costs
+// O(limit) once per limit new rates.
+const fitsAllLimit = 1 << 12
 
 // New returns an empty controller over the topology, backed by a fresh
 // memoizing netstate oracle.
@@ -177,14 +189,9 @@ func (c *Controller) fitsFn(id flow.ID, rate float64) func(w topology.NodeID) bo
 // same unfiltered stage lists as the cached solve.
 func (c *Controller) FitsEverywhere(rate float64) bool {
 	e := c.oracle.Epoch()
-	if !c.fitsAllValid || c.fitsAllEpoch != e {
-		c.fitsAll = make(map[uint64]bool)
-		c.fitsAllEpoch = e
-		c.fitsAllValid = true
-	}
 	bits := math.Float64bits(rate)
-	if v, ok := c.fitsAll[bits]; ok {
-		return v
+	if v, ok := c.fitsAll[bits]; ok && v.epoch == e {
+		return v.fits
 	}
 	fits := true
 	for _, w := range c.topo.Switches() {
@@ -197,14 +204,21 @@ func (c *Controller) FitsEverywhere(rate float64) bool {
 			break
 		}
 	}
-	c.fitsAll[bits] = fits
+	if c.fitsAll == nil {
+		c.fitsAll = make(map[uint64]fitsEntry)
+	} else if len(c.fitsAll) >= fitsAllLimit {
+		clear(c.fitsAll)
+	}
+	c.fitsAll[bits] = fitsEntry{epoch: e, fits: fits}
 	return fits
 }
 
 // Install validates and installs a policy for f, replacing any previous
 // policy of the same flow and updating switch loads. Installation fails if
 // the policy is not satisfied (type/order check) or any switch lacks
-// capacity; on failure the previous policy remains installed. Blessed
+// capacity; on failure the previous policy remains installed. The
+// controller retains p itself, not a copy: policies are immutable once
+// built (flow.Policy), so the caller must not modify p afterwards. Blessed
 // epochbump mutator: taalint proves the oracle epoch bump on every path
 // that touches policies/rates/load.
 func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
@@ -228,28 +242,28 @@ func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 	// Feasibility with the old policy's contribution removed. A switch
 	// appearing k times in the new list needs k*rate headroom. Routes are a
 	// handful of switches, so the per-switch demand accumulates in a small
-	// slice (linear scan) rather than a map.
+	// stack array kept in ascending switch-ID order by insertion — the
+	// reported violation (and therefore the caller's behavior) never
+	// depends on discovery order.
 	type needEntry struct {
 		w topology.NodeID
 		n float64
 	}
-	need := make([]needEntry, 0, len(p.List))
+	var needBuf [8]needEntry
+	need := needBuf[:0]
 	for _, w := range p.List {
-		found := false
-		for i := range need {
-			if need[i].w == w {
-				need[i].n += f.Rate
-				found = true
-				break
-			}
+		i := 0
+		for i < len(need) && need[i].w < w {
+			i++
 		}
-		if !found {
-			need = append(need, needEntry{w: w, n: f.Rate})
+		if i < len(need) && need[i].w == w {
+			need[i].n += f.Rate
+			continue
 		}
+		need = append(need, needEntry{})
+		copy(need[i+1:], need[i:])
+		need[i] = needEntry{w: w, n: f.Rate}
 	}
-	// Check switches in ascending ID order so the reported violation (and
-	// therefore the caller's behavior) never depends on discovery order.
-	sort.Slice(need, func(i, j int) bool { return need[i].w < need[j].w })
 	for _, e := range need {
 		w, n := e.w, e.n
 		cap := c.topo.Node(w).Capacity
@@ -262,7 +276,7 @@ func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 		}
 	}
 	c.Uninstall(f.ID)
-	c.policies[f.ID] = p.Clone()
+	c.policies[f.ID] = p
 	c.rates[f.ID] = f.Rate
 	for _, w := range p.List {
 		c.load[w] += f.Rate
@@ -359,7 +373,10 @@ func (c *Controller) RandomPolicy(f *flow.Flow, loc flow.Locator, rng *rand.Rand
 	if err != nil {
 		return nil, err
 	}
-	p := &flow.Policy{Flow: f.ID, Types: append([]string(nil), types...)}
+	p := &flow.Policy{Flow: f.ID, Types: types}
+	if len(types) > 0 {
+		p.List = make([]topology.NodeID, 0, len(types))
+	}
 	fits := c.fitsFn(f.ID, f.Rate)
 	fp := feasiblePool.Get().(*[]topology.NodeID)
 	defer feasiblePool.Put(fp)
@@ -521,13 +538,9 @@ func (c *Controller) optimizeBetween(f *flow.Flow, src, dst topology.NodeID) (*f
 	if !ok {
 		return nil, info, fmt.Errorf("controller: %w for flow %d", ErrNoFeasibleRoute, f.ID)
 	}
-	// The cached list is shared across flows; clone so callers may mutate
-	// the policy (e.g. flow.ApplySwap) without corrupting the cache.
-	return &flow.Policy{
-		Flow:  f.ID,
-		List:  append([]topology.NodeID(nil), list...),
-		Types: append([]string(nil), types...),
-	}, info, nil
+	// The policy shares the pair-route cache's list and the oracle's
+	// template: policies are immutable once built (flow.Policy).
+	return &flow.Policy{Flow: f.ID, List: list, Types: types}, info, nil
 }
 
 // OptimizeInstalled reruns Algorithm 1 for an installed flow and reinstalls

@@ -28,8 +28,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/controller"
@@ -90,6 +92,9 @@ type HitScheduler struct {
 	// supervisor only ever redirects flows onto the sequential replay
 	// path, never changes a value.
 	Supervisor *supervise.Supervisor
+
+	// spare is the runState recycled across Schedule calls (see runState).
+	spare atomic.Pointer[runState]
 }
 
 // fanout resolves the inner-phase worker cap: an explicit Workers wins,
@@ -142,6 +147,19 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
+	st := h.spare.Swap(nil)
+	if st == nil {
+		st = newRunState() // first call, or another call holds the spare
+	}
+	err := h.schedule(req, st)
+	st.reset()
+	h.spare.Store(st)
+	return err
+}
+
+// schedule is Schedule's body over a validated request and a reset
+// runState.
+func (h *HitScheduler) schedule(req *scheduler.Request, st *runState) error {
 	movable := h.movableTasks(req)
 	flows := req.Flows
 
@@ -170,13 +188,12 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 			return err
 		}
 	} else {
-		var candBuf []topology.NodeID
 		for _, t := range movable {
 			if req.Cluster.Container(t.Container).Placed() {
 				continue
 			}
-			cands := req.Cluster.AppendCandidates(candBuf[:0], t.Container)
-			candBuf = cands
+			cands := req.Cluster.AppendCandidates(st.candBuf[:0], t.Container)
+			st.candBuf = cands
 			if len(cands) == 0 {
 				if report != nil {
 					report.UnplacedContainers = append(report.UnplacedContainers, t.Container)
@@ -222,7 +239,7 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 	if ms != nil {
 		ms.WarmTemplates(flows, loc)
 	}
-	routable := flows[:0:0]
+	routable := st.routable[:0]
 	for _, f := range flows {
 		p, err := req.Controller.RandomPolicy(f, loc, req.Rand)
 		if err != nil {
@@ -237,12 +254,13 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 		}
 		routable = append(routable, f)
 	}
+	st.routable = routable
 	flows = routable
 
 	if h.isSubsequentWave(req, movable, flows) {
-		return h.scheduleSubsequentWave(req, movable, flows)
+		return h.scheduleSubsequentWave(req, movable, flows, st)
 	}
-	return h.scheduleInitialWave(ms, req, movable, flows)
+	return h.scheduleInitialWave(ms, req, movable, flows, st)
 }
 
 // movableTasks returns the tasks whose containers this round may move.
@@ -294,7 +312,7 @@ type flowSolve struct {
 // anchored peer servers per incident flow) and the derived outputs. When
 // the inputs recur unchanged in a later iteration, the outputs are reused
 // verbatim — containers untouched by the previous round's matching cost
-// nothing to re-rank.
+// nothing to re-rank. Every slice is carved from the call's slabs.
 type prefRow struct {
 	orig      topology.NodeID
 	feasible  []int
@@ -303,19 +321,81 @@ type prefRow struct {
 	votes     []int
 }
 
-// runState is the dirty-set bookkeeping for ONE Schedule call. It lives on
-// the stack of the call, never on the HitScheduler, so a scheduler value
-// can be reused across requests (and concurrently) exactly as before.
+// slab is an append-only arena for one Schedule call: take carves
+// sub-slices that stay valid and unshared until reset. When the current
+// chunk runs out, take starts a larger one (earlier carvings keep the old
+// chunk alive); after reset only the newest, largest chunk is reused, so a
+// run of similar calls soon stops allocating. Carved memory is NOT zeroed:
+// every taker overwrites its whole slice.
+type slab[T any] struct {
+	buf     []T
+	spilled int // elements carved from chunks before buf this call
+}
+
+// minSlabChunk is the smallest chunk a slab allocates.
+const minSlabChunk = 1024
+
+// take carves n elements from s.
+func take[T any](s *slab[T], n int) []T {
+	if len(s.buf)+n > cap(s.buf) {
+		s.spilled += len(s.buf)
+		s.buf = make([]T, 0, max(2*cap(s.buf), n, minSlabChunk))
+	}
+	lo, hi := len(s.buf), len(s.buf)+n
+	s.buf = s.buf[:hi]
+	return s.buf[lo:hi:hi]
+}
+
+// untake returns the n elements the latest take carved.
+func untake[T any](s *slab[T], n int) { s.buf = s.buf[:len(s.buf)-n] }
+
+// rewind empties s for the next call. A call that outgrew the chunk it
+// started with sizes the next chunk to its whole use, with a quarter of
+// headroom, so the next similar call fits in one chunk.
+func rewind[T any](s *slab[T]) {
+	if used := s.spilled + len(s.buf); s.spilled > 0 && used+used/4 > cap(s.buf) {
+		s.buf = make([]T, 0, used+used/4)
+	}
+	s.buf, s.spilled = s.buf[:0], 0
+}
+
+// demandClass shares per-demand facts across the containers of one group.
+// Every group container stands unplaced when feasibility is computed, so
+// CanHost depends only on the container's resource demand: containers with
+// identical demands see the identical feasible-server set, candidate list,
+// and — candidates being the only per-container input — identical
+// nearest-feasible votes per anchored peer server. One O(V) scan per
+// distinct demand replaces one per container.
+type demandClass struct {
+	demand cluster.Resources
+	feas   []int
+	cands  []topology.NodeID
+	// votes[si] is the class's vote for anchored peer server index si:
+	// the voted server index, -1 = none, voteUnset = not computed yet.
+	votes []int32
+}
+
+const voteUnset = -2
+
+// runState is the dirty-set bookkeeping and the working memory of ONE
+// Schedule call. A HitScheduler keeps one spare runState between calls
+// (HitScheduler.spare): a call takes it — a concurrent call that finds
+// none builds its own — and resets and stores it back when it returns, so
+// a scheduler value is still reused across requests, and concurrently,
+// exactly as before, while the steady state recycles the maps, matchers
+// and slabs below instead of reallocating them. No memo survives reset:
+// neither flow nor container IDs nor a (Version, LivenessVersion) pair
+// identify anything across requests.
 type runState struct {
-	solves map[flow.ID]*flowSolve
-	prefs  map[cluster.ContainerID]*prefRow
+	solves map[flow.ID]flowSolve
+	prefs  map[cluster.ContainerID]prefRow
 	// matchers holds one slab-reusing stable matcher per container group
 	// (reduces, maps): successive iterations of the joint loop re-match the
 	// same group, so the dense scratch — and, when nothing changed, the
 	// previous matching itself — carries over. Only used when incremental()
 	// is on; the DisableIncremental parity path calls stablematch.Match
 	// directly every time.
-	matchers [2]*stablematch.Matcher
+	matchers [2]stablematch.Matcher
 	// rows caches per-peer-server distance rows across assignGroup calls.
 	// Rows are pure functions of (topology, liveness), so the cache is keyed
 	// by both versions and dropped whole on any change — the structural
@@ -324,15 +404,74 @@ type runState struct {
 	// O(distinct peers × V) per Schedule instead of per group per iteration.
 	// Incremental-only: the DisableIncremental parity path refetches.
 	rows        map[topology.NodeID][]int32
+	rowsValid   bool
 	rowsTopoVer uint64
 	rowsLiveVer uint64
+
+	// Append-only per-call slabs. Everything the preference memo, the
+	// matcher memo or the rows cache may alias lives here: proposer and
+	// host preference rows, feasible sets and votes (ints); anchored peer
+	// servers (nodes); structural distance rows (dists). Carvings stay
+	// intact until reset ends the call.
+	ints  slab[int]
+	nodes slab[topology.NodeID]
+	dists slab[int32]
+
+	// Per-group scratch, overwritten by every assignGroup call. Only the
+	// slab carvings stored in it outlive the group.
+	srvIdx     []int32 // node ID → index into the cluster's server list
+	containers []cluster.ContainerID
+	original   []topology.NodeID
+	incFlows   []*flow.Flow // incident flows, CSR by container
+	incOff     []int32
+	peerSrv    [][]topology.NodeID
+	classes    []demandClass
+	classOf    []int32
+	memoHit    []bool
+	accSlotOf  []int32 // server index → dense access-switch slot
+	accSlotBy  []int32 // node ID → access-switch slot, -1 = none yet
+	accNodes   []topology.NodeID
+	propPrefs  [][]int
+	votes      [][]int
+	gradeRowOf []int32 // server index → row in gradeBack, -1 = none
+	gradeBack  []float64
+	hostPrefs  [][]int
+	capacity   []float64
+	loads      []float64
+	scanBuf    []int // feasibility scan before carving
+	peerBuf    []topology.NodeID
+
+	// Per-call scratch of schedule itself.
+	candBuf  []topology.NodeID
+	routable []*flow.Flow // the call's working flow set
+	snap     map[cluster.ContainerID]topology.NodeID
 }
 
 func newRunState() *runState {
 	return &runState{
-		solves: make(map[flow.ID]*flowSolve),
-		prefs:  make(map[cluster.ContainerID]*prefRow),
+		solves: make(map[flow.ID]flowSolve),
+		prefs:  make(map[cluster.ContainerID]prefRow),
 	}
+}
+
+// reset readies a runState for recycling once its call is done: every
+// memo is dropped, the matchers forget (keeping their slabs), the slabs
+// rewind — resizing now, so the next call starts with one chunk big
+// enough — and the scratch that points at request data is cleared, so the
+// spare state pins none of it.
+func (st *runState) reset() {
+	clear(st.solves)
+	clear(st.prefs)
+	for gi := range st.matchers {
+		st.matchers[gi].Forget()
+	}
+	clear(st.rows)
+	st.rowsValid = false
+	rewind(&st.ints)
+	rewind(&st.nodes)
+	rewind(&st.dists)
+	clear(st.incFlows[:cap(st.incFlows)])
+	clear(st.routable[:cap(st.routable)])
 }
 
 // record stores the outcome of an Algorithm-1 solve for f.
@@ -340,7 +479,7 @@ func (st *runState) record(f *flow.Flow, loc flow.Locator, p *flow.Policy, info 
 	if p == nil {
 		return
 	}
-	st.solves[f.ID] = &flowSolve{
+	st.solves[f.ID] = flowSolve{
 		policy: p,
 		full:   info.FullStages,
 		src:    loc.ServerOf(f.Src),
@@ -358,8 +497,8 @@ func (st *runState) record(f *flow.Flow, loc flow.Locator, p *flow.Policy, info 
 // through: load changes can only alter a solve through the feasibility
 // filter, which FitsEverywhere shows is inert for this rate.
 func (st *runState) cleanFlow(req *scheduler.Request, f *flow.Flow, loc flow.Locator) bool {
-	rec := st.solves[f.ID]
-	if rec == nil || !rec.full {
+	rec, ok := st.solves[f.ID]
+	if !ok || !rec.full {
 		return false
 	}
 	if loc.ServerOf(f.Src) != rec.src || loc.ServerOf(f.Dst) != rec.dst {
@@ -371,14 +510,13 @@ func (st *runState) cleanFlow(req *scheduler.Request, f *flow.Flow, loc flow.Loc
 // scheduleInitialWave runs the full joint optimization loop over the
 // round's working flow set (req.Flows minus any degraded-mode exclusions).
 // ms is the sharded service, or nil for the sequential path.
-func (h *HitScheduler) scheduleInitialWave(ms *multisched.Service, req *scheduler.Request, movable []scheduler.Task, flows []*flow.Flow) error {
+func (h *HitScheduler) scheduleInitialWave(ms *multisched.Service, req *scheduler.Request, movable []scheduler.Task, flows []*flow.Flow, st *runState) error {
 	loc := req.Locator()
-	st := newRunState()
 	best, err := req.Controller.TotalCost(flows, loc)
 	if err != nil {
 		return err
 	}
-	bestSnap := req.Cluster.Snapshot()
+	st.snap = req.Cluster.SnapshotInto(st.snap) // the best placement seen
 
 	for iter := 0; iter < h.maxIterations(); iter++ {
 		// Phase 1 — network policy optimization (Algorithm 1 per flow).
@@ -423,14 +561,14 @@ func (h *HitScheduler) scheduleInitialWave(ms *multisched.Service, req *schedule
 		}
 		if cost < best*(1-h.epsilon()) {
 			best = cost
-			bestSnap = req.Cluster.Snapshot()
+			st.snap = req.Cluster.SnapshotInto(st.snap)
 			continue
 		}
 		// No material improvement: restore the best placement seen and stop.
 		// Restoring moves endpoints, which cleanFlow detects per flow by
 		// comparing servers — no explicit invalidation needed.
 		if cost > best {
-			if err := req.Cluster.Restore(bestSnap); err != nil {
+			if err := req.Cluster.Restore(st.snap); err != nil {
 				return err
 			}
 			if err := h.reinstallPolicies(ms, req, flows, loc, st); err != nil {
@@ -507,6 +645,10 @@ type assignScratch struct {
 	accCost  []float64
 	accSet   []bool
 	isPeer   []bool
+	peerDist []topology.NodeID // distinct anchored peers, first-appearance order
+	peerOf   []int32
+	peerSlot []int32 // pi+1 per server index; all zero between uses
+	rowOf    [][]int32
 
 	// htabKeys/htabVals form a flat open-addressed hash table (linear
 	// probing, val -1 = empty) mapping grade bit patterns to bucket slots.
@@ -521,16 +663,11 @@ type assignScratch struct {
 
 var assignScratchPool = sync.Pool{New: func() any { return new(assignScratch) }}
 
-func growF64(s []float64, n int) []float64 {
+// grow returns a length-n slice reusing s's backing array when it is big
+// enough; the contents are not reset.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -625,7 +762,7 @@ func (sc *assignScratch) htabGet(b uint64) int32 {
 // sortDescFallback.
 func (sc *assignScratch) stableRankDesc(grades []float64, vals, out []int) bool {
 	n := len(grades)
-	slot := growI32(sc.slot, n)
+	slot := grow(sc.slot, n)
 	sc.slot = slot
 	sc.distinct = sc.distinct[:0]
 	sc.htabReset(n)
@@ -650,12 +787,12 @@ func (sc *assignScratch) stableRankDesc(grades []float64, vals, out []int) bool 
 	sorted := append(sc.sorted[:0], sc.distinct...)
 	sc.sorted = sorted
 	sort.Float64s(sorted) // ascending; descending rank = k-1-j
-	slotRank := growI32(sc.slotRank, k)
+	slotRank := grow(sc.slotRank, k)
 	sc.slotRank = slotRank
 	for j, g := range sorted {
 		slotRank[sc.htabGet(math.Float64bits(g))] = int32(k - 1 - j)
 	}
-	counts := growI32(sc.counts, k)
+	counts := grow(sc.counts, k)
 	sc.counts = counts
 	for r := range counts {
 		counts[r] = 0
@@ -663,7 +800,7 @@ func (sc *assignScratch) stableRankDesc(grades []float64, vals, out []int) bool 
 	for _, s := range slot {
 		counts[slotRank[s]]++
 	}
-	offs := growI32(sc.offs, k)
+	offs := grow(sc.offs, k)
 	sc.offs = offs
 	var sum int32
 	for r, c := range counts {
@@ -771,38 +908,42 @@ func (h *HitScheduler) assign(req *scheduler.Request, movable []scheduler.Task, 
 // stay sequential: goroutine fan-out costs more than the loops it saves.
 const parallelThreshold = 4096
 
-// demandClass shares per-demand facts across the containers of one group.
-// Every group container stands unplaced when feasibility is computed, so
-// CanHost depends only on the container's resource demand: containers with
-// identical demands see the identical feasible-server set, candidate list,
-// and — candidates being the only per-container input — identical
-// nearest-feasible votes per anchored peer server. One O(V) scan per
-// distinct demand replaces one per container.
-type demandClass struct {
-	feas  []int
-	cands []topology.NodeID
-	votes map[topology.NodeID]int // anchored peer server → voted server index, -1 = none
-}
-
 // assignGroup matches one kind-homogeneous container group onto servers.
 // gi selects the group's slab-reusing matcher in st (0 = reduces, 1 = maps).
+// Its tables live in st's per-group scratch and per-call slabs, so a warm
+// scheduler runs it without allocating.
 func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Task, flows []*flow.Flow, loc flow.Locator, st *runState, gi int) error {
 	servers := req.Cluster.Servers()
-	serverIdx := make(map[topology.NodeID]int, len(servers))
-	for i, s := range servers {
-		serverIdx[s] = i
-	}
-	containers := make([]cluster.ContainerID, len(group))
-	for i, t := range group {
-		containers[i] = t.Container
-	}
+	topo := req.Cluster.Topology()
 	oracle := req.Controller.Oracle()
+	nS, nC, nNodes := len(servers), len(group), topo.NumNodes()
 
-	// Incident flows and anchored peer servers per container.
-	incident := make([][]*flow.Flow, len(containers))
-	peerSrv := make([][]topology.NodeID, len(containers))
-	for i, c := range containers {
-		for _, f := range flow.IncidentFlows(c, flows) {
+	// Dense server index: node ID → position in servers (non-servers read
+	// 0, as a map miss did; only servers are ever looked up).
+	srvIdx := grow(st.srvIdx, nNodes)
+	st.srvIdx = srvIdx
+	clear(srvIdx)
+	for i, s := range servers {
+		srvIdx[s] = int32(i)
+	}
+	containers := st.containers[:0]
+	for _, t := range group {
+		containers = append(containers, t.Container)
+	}
+	st.containers = containers
+
+	// Incident flows (CSR: container ci owns incFlows[incOff[ci]:incOff[ci+1]])
+	// and anchored peer servers per container. Peer rows are slab-carved:
+	// the preference memo keeps them.
+	incFlows := st.incFlows[:0]
+	incOff := append(st.incOff[:0], 0)
+	peerSrv := grow(st.peerSrv, nC)
+	for ci, c := range containers {
+		peers := st.peerBuf[:0]
+		for _, f := range flows {
+			if f.Src != c && f.Dst != c {
+				continue
+			}
 			peer := f.Src
 			if peer == c {
 				peer = f.Dst
@@ -811,17 +952,23 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 			if ps == topology.None {
 				continue
 			}
-			incident[i] = append(incident[i], f)
-			peerSrv[i] = append(peerSrv[i], ps)
+			incFlows = append(incFlows, f)
+			peers = append(peers, ps)
 		}
+		st.peerBuf = peers
+		incOff = append(incOff, int32(len(incFlows)))
+		peerSrv[ci] = take(&st.nodes, len(peers))
+		copy(peerSrv[ci], peers)
 	}
+	st.incFlows, st.incOff, st.peerSrv = incFlows, incOff, peerSrv
 
 	// Release the whole group's demand before computing feasibility, so that
 	// pairwise exchanges between otherwise-full servers stay reachable — the
 	// matching, not the incumbent placement, decides who lands where.
-	original := make(map[cluster.ContainerID]topology.NodeID, len(containers))
-	for _, c := range containers {
-		original[c] = req.Cluster.Container(c).Server()
+	original := grow(st.original, nC)
+	st.original = original
+	for ci, c := range containers {
+		original[ci] = req.Cluster.Container(c).Server()
 		if err := req.Cluster.Unplace(c); err != nil {
 			return err
 		}
@@ -829,74 +976,104 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 
 	// Demand classes: the group is fully unplaced here, so feasibility is a
 	// function of the demand vector alone and is scanned once per class.
-	classes := make(map[cluster.Resources]*demandClass, 2)
-	classOf := make([]*demandClass, len(containers))
+	// A class slot keeps its candidate and vote buffers across calls.
+	classes := st.classes[:0]
+	classOf := grow(st.classOf, nC)
+	st.classOf = classOf
 	for ci, c := range containers {
 		d := req.Cluster.Container(c).Demand
-		cl := classes[d]
-		if cl == nil {
-			var feas []int
+		k := 0
+		for k < len(classes) && classes[k].demand != d {
+			k++
+		}
+		if k == len(classes) {
+			feas := st.scanBuf[:0]
 			for si, s := range servers {
 				if req.Cluster.CanHost(s, c) {
 					feas = append(feas, si)
 				}
 			}
-			cands := make([]topology.NodeID, len(feas))
-			for k, si := range feas {
-				cands[k] = servers[si]
+			st.scanBuf = feas
+			if k < cap(classes) {
+				classes = classes[:k+1] // the slot keeps its buffers
+			} else {
+				classes = append(classes, demandClass{})
 			}
-			cl = &demandClass{feas: feas, cands: cands, votes: make(map[topology.NodeID]int)}
-			classes[d] = cl
+			cl := &classes[k]
+			cl.demand = d
+			cl.feas = take(&st.ints, len(feas))
+			copy(cl.feas, feas)
+			cl.cands = cl.cands[:0]
+			for _, si := range feas {
+				cl.cands = append(cl.cands, servers[si])
+			}
+			cl.votes = grow(cl.votes, nS)
+			for i := range cl.votes {
+				cl.votes[i] = voteUnset
+			}
 		}
-		classOf[ci] = cl
+		classOf[ci] = int32(k)
 	}
+	st.classes = classes
 
 	// Dirty check (run before the shared tables are built, so a fully clean
 	// round pays for neither rows nor votes): a container whose original
 	// server, feasible set, and anchored peers all recur from the previous
 	// round would rebuild the exact same row — reuse it.
 	useMemo := h.incremental()
-	memoHit := make([]*prefRow, len(containers))
+	memoHit := growBoolZeroed(st.memoHit, nC)
+	st.memoHit = memoHit
 
 	// Group-level shared tables, built sequentially (deterministic oracle
 	// call order) and only read by the fan-out below:
 	//   rows[ps]      — one distance row per distinct anchored peer server,
 	//                   memoized across groups and iterations in st (keyed
 	//                   by topology/liveness version) on the incremental
-	//                   path;
-	//   cl.votes[ps]  — the class's nearest-feasible vote for that peer
-	//                   (Algorithm 1 lines 11–13), a function of (peer,
-	//                   candidate list) only. Incremental runs derive it
-	//                   from the fetched row with the oracle's own compare
-	//                   and lower-ID tie-break; the DisableIncremental
-	//                   parity path asks the oracle itself, pinning the
-	//                   row-scan replica against NearestByDist.
-	topo := req.Cluster.Topology()
+	//                   path, structural rows filled into st.dists;
+	//   cl.votes[si]  — the class's nearest-feasible vote for peer server
+	//                   index si (Algorithm 1 lines 11–13), a function of
+	//                   (peer, candidate list) only. Incremental runs derive
+	//                   it from the fetched row with the oracle's own
+	//                   compare and lower-ID tie-break; the
+	//                   DisableIncremental parity path asks the oracle
+	//                   itself, pinning the row-scan replica against
+	//                   NearestByDist.
 	var rows map[topology.NodeID][]int32
 	if useMemo {
 		tv, lv := topo.Version(), topo.LivenessVersion()
-		if st.rows == nil || st.rowsTopoVer != tv || st.rowsLiveVer != lv {
-			st.rows = make(map[topology.NodeID][]int32)
-			st.rowsTopoVer, st.rowsLiveVer = tv, lv
+		if !st.rowsValid || st.rowsTopoVer != tv || st.rowsLiveVer != lv {
+			if st.rows == nil {
+				st.rows = make(map[topology.NodeID][]int32)
+			}
+			clear(st.rows)
+			st.rowsValid, st.rowsTopoVer, st.rowsLiveVer = true, tv, lv
 		}
 		rows = st.rows
 	} else {
 		rows = make(map[topology.NodeID][]int32)
 	}
 	for ci, c := range containers {
+		cl := &classes[classOf[ci]]
 		if useMemo {
-			if prev := st.prefs[c]; prev != nil && prev.orig == original[c] &&
-				equalInts(prev.feasible, classOf[ci].feas) && equalNodeIDs(prev.peerSrv, peerSrv[ci]) {
-				memoHit[ci] = prev
+			if prev, ok := st.prefs[c]; ok && prev.orig == original[ci] &&
+				equalInts(prev.feasible, cl.feas) && equalNodeIDs(prev.peerSrv, peerSrv[ci]) {
+				memoHit[ci] = true
 				continue
 			}
 		}
-		cl := classOf[ci]
 		for _, ps := range peerSrv[ci] {
 			if _, ok := rows[ps]; !ok {
-				rows[ps] = oracle.DistRow(ps)
+				if useMemo {
+					row, filled := oracle.DistRowInto(take(&st.dists, nNodes), ps)
+					if !filled {
+						untake(&st.dists, nNodes)
+					}
+					rows[ps] = row
+				} else {
+					rows[ps] = oracle.DistRow(ps)
+				}
 			}
-			if _, ok := cl.votes[ps]; !ok {
+			if vi := srvIdx[ps]; cl.votes[vi] == voteUnset {
 				var best topology.NodeID
 				if useMemo {
 					best = nearestByRow(rows[ps], cl.cands)
@@ -904,9 +1081,9 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 					best = oracle.NearestByDist(ps, cl.cands)
 				}
 				if best == topology.None {
-					cl.votes[ps] = -1
+					cl.votes[vi] = -1
 				} else {
-					cl.votes[ps] = serverIdx[best]
+					cl.votes[vi] = srvIdx[best]
 				}
 			}
 		}
@@ -925,18 +1102,25 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	var accSlotOf []int32
 	var accNodes []topology.NodeID
 	if anchorable {
-		accSlotOf = make([]int32, len(servers))
-		accIdx := make(map[topology.NodeID]int32, 64)
+		accSlotOf = grow(st.accSlotOf, nS)
+		st.accSlotOf = accSlotOf
+		accSlotBy := grow(st.accSlotBy, nNodes)
+		st.accSlotBy = accSlotBy
+		for i := range accSlotBy {
+			accSlotBy[i] = -1
+		}
+		accNodes = st.accNodes[:0]
 		for si, s := range servers {
 			a := oracle.AccessSwitch(s)
-			slot, ok := accIdx[a]
-			if !ok {
+			slot := accSlotBy[a]
+			if slot < 0 {
 				slot = int32(len(accNodes))
-				accIdx[a] = slot
+				accSlotBy[a] = slot
 				accNodes = append(accNodes, a)
 			}
 			accSlotOf[si] = slot
 		}
+		st.accNodes = accNodes
 	}
 
 	// Per-container preference build (Algorithm 1's preference-matrix rows
@@ -944,54 +1128,74 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	// own index, so the fan-out is deterministic: results are identical to
 	// the sequential loop regardless of worker count, and the merge into the
 	// grade rows below happens column-by-column with no shared writes. The
-	// shared tables above (rows, classes, accessOf, original) are read-only
+	// shared tables above (rows, classes, accSlotOf, original) are read-only
 	// during the fan-out, and st.prefs is written only after it returns.
+	// Output rows are carved here, sequentially, so workers never touch a
+	// slab.
 	//
 	// Cost sums always accumulate in flow order, keeping the floats
 	// bit-identical to the ungrouped per-flow loop.
-	propPrefs := make([][]int, len(containers))
-	votes := make([][]int, len(containers)) // per incident flow: voted server index, -1 = none
-	prefRows := make([]*prefRow, len(containers))
+	propPrefs := grow(st.propPrefs, nC)
+	votes := grow(st.votes, nC) // per incident flow: voted server index, -1 = none
+	st.propPrefs, st.votes = propPrefs, votes
+	for ci, c := range containers {
+		if memoHit[ci] {
+			prev := st.prefs[c]
+			propPrefs[ci], votes[ci] = prev.propPrefs, prev.votes
+			continue
+		}
+		propPrefs[ci] = take(&st.ints, len(classes[classOf[ci]].feas))
+		votes[ci] = take(&st.ints, int(incOff[ci+1]-incOff[ci]))
+	}
 	workers := h.fanout()
-	if len(containers)*len(servers) < parallelThreshold {
+	if nC*nS < parallelThreshold {
 		workers = 1
 	}
 	// Every write below is addressed by ci (taalint mergeorder contract):
 	// workers own disjoint slots, so the merge order is the index order.
-	err := parallel.ForEach(len(containers), workers, func(ci int) error {
+	err := parallel.ForEach(nC, workers, func(ci int) error {
 		c := containers[ci]
-		cl := classOf[ci]
+		cl := &classes[classOf[ci]]
 		if len(cl.feas) == 0 {
 			return fmt.Errorf("core: %w for container %d", scheduler.ErrNoFeasibleServer, c)
 		}
-		if prev := memoHit[ci]; prev != nil {
-			propPrefs[ci] = prev.propPrefs
-			votes[ci] = prev.votes
-			prefRows[ci] = prev
+		if memoHit[ci] {
 			return nil
 		}
+		incident := incFlows[incOff[ci]:incOff[ci+1]]
+		peers := peerSrv[ci]
+
+		sc := assignScratchPool.Get().(*assignScratch)
+		defer assignScratchPool.Put(sc)
 
 		// Distinct anchored peer servers in first-appearance order;
 		// peerOf[k] indexes the per-peer rows for incident flow k.
-		distinct := make([]topology.NodeID, 0, len(peerSrv[ci]))
-		peerIdx := make(map[topology.NodeID]int, len(peerSrv[ci]))
-		peerOf := make([]int, len(peerSrv[ci]))
-		for k, ps := range peerSrv[ci] {
-			pi, ok := peerIdx[ps]
-			if !ok {
-				pi = len(distinct)
-				peerIdx[ps] = pi
+		// peerSlot (pi+1 per server index) is all-zero between uses.
+		peerSlot := grow(sc.peerSlot, nS)
+		sc.peerSlot = peerSlot
+		peerOf := grow(sc.peerOf, len(peers))
+		sc.peerOf = peerOf
+		distinct := sc.peerDist[:0]
+		for k, ps := range peers {
+			vi := srvIdx[ps]
+			pi := peerSlot[vi] - 1
+			if pi < 0 {
+				pi = int32(len(distinct))
+				peerSlot[vi] = pi + 1
 				distinct = append(distinct, ps)
 			}
 			peerOf[k] = pi
 		}
-		rowOf := make([][]int32, len(distinct))
-		for pi, ps := range distinct {
-			rowOf[pi] = rows[ps]
+		for _, ps := range distinct {
+			peerSlot[srvIdx[ps]] = 0
 		}
-
-		sc := assignScratchPool.Get().(*assignScratch)
-		defer assignScratchPool.Put(sc)
+		sc.peerDist = distinct
+		rowOf := sc.rowOf[:0]
+		for _, ps := range distinct {
+			rowOf = append(rowOf, rows[ps])
+		}
+		sc.rowOf = rowOf
+		defer clear(rowOf) // the pool must not pin the call's rows
 
 		// Anchored re-routed cost of hosting this container on server s:
 		// Σ rate × dist(peer, s) — the flow cost after Algorithm 1
@@ -999,7 +1203,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		// order over the prefetched rows.
 		direct := func(s topology.NodeID) float64 {
 			var cost float64
-			for k, f := range incident[ci] {
+			for k, f := range incident {
 				d := rowOf[peerOf[k]][s]
 				if d < 0 {
 					continue
@@ -1016,14 +1220,14 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 			// equal ints, so the conversions and products are bit-
 			// identical), computed once per access switch instead of once
 			// per server. Peer servers fall back to direct().
-			accCost := growF64(sc.accCost, len(accNodes))
+			accCost := grow(sc.accCost, len(accNodes))
 			sc.accCost = accCost
 			accSet := growBoolZeroed(sc.accSet, len(accNodes))
 			sc.accSet = accSet
-			isPeer := growBoolZeroed(sc.isPeer, len(servers))
+			isPeer := growBoolZeroed(sc.isPeer, nS)
 			sc.isPeer = isPeer
 			for _, ps := range distinct {
-				isPeer[serverIdx[ps]] = true
+				isPeer[srvIdx[ps]] = true
 			}
 			costAt = func(si int) float64 {
 				if isPeer[si] {
@@ -1033,7 +1237,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 				if !accSet[slot] {
 					var cost float64
 					a := accNodes[slot]
-					for k, f := range incident[ci] {
+					for k, f := range incident {
 						da := rowOf[peerOf[k]][a]
 						if da < 0 {
 							continue
@@ -1049,33 +1253,21 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 
 		// Proposer preferences: servers by utility (Eq. 10) = current cost
 		// minus candidate cost, descending.
-		curCost := costAt(serverIdx[original[c]])
-		grades := growF64(sc.grades, len(cl.feas))
+		curCost := costAt(int(srvIdx[original[ci]]))
+		grades := grow(sc.grades, len(cl.feas))
 		sc.grades = grades
 		for i, si := range cl.feas {
 			grades[i] = curCost - costAt(si)
 		}
-		prop := make([]int, len(cl.feas))
+		prop := propPrefs[ci]
 		if !sc.stableRankDesc(grades, cl.feas, prop) {
 			sortDescFallback(grades, cl.feas, prop)
 		}
-		propPrefs[ci] = prop
 
 		// Fan the class's per-peer votes out to this container's flows.
-		vts := make([]int, len(incident[ci]))
-		for k, ps := range peerSrv[ci] {
-			vts[k] = cl.votes[ps]
-		}
-		votes[ci] = vts
-
-		if useMemo {
-			prefRows[ci] = &prefRow{
-				orig:      original[c],
-				feasible:  cl.feas,
-				peerSrv:   peerSrv[ci],
-				propPrefs: prop,
-				votes:     vts,
-			}
+		vts := votes[ci]
+		for k, ps := range peers {
+			vts[k] = int(cl.votes[srvIdx[ps]])
 		}
 		return nil
 	})
@@ -1084,43 +1276,63 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	}
 	if useMemo {
 		for ci, c := range containers {
-			if prefRows[ci] != nil {
-				st.prefs[c] = prefRows[ci]
+			if !memoHit[ci] {
+				st.prefs[c] = prefRow{
+					orig:      original[ci],
+					feasible:  classes[classOf[ci]].feas,
+					peerSrv:   peerSrv[ci],
+					propPrefs: propPrefs[ci],
+					votes:     votes[ci],
+				}
 			}
 		}
 	}
 
 	// Deterministic merge of the votes into the host-preference grades.
 	// Votes are sparse — at most one server per incident flow — so only
-	// voted servers carry a grade row; every other server's grades are all
-	// zero, and a stable descending sort of an all-equal row is the identity
-	// permutation, shared once below instead of allocated per server.
-	gradeRows := make(map[int][]float64, len(containers))
+	// voted servers carry a grade row (gradeRowOf[si] indexes the nC-wide
+	// rows of gradeBack); every other server's grades are all zero, and a
+	// stable descending sort of an all-equal row is the identity
+	// permutation, shared once below instead of built per server.
+	gradeRowOf := grow(st.gradeRowOf, nS)
+	st.gradeRowOf = gradeRowOf
+	for si := range gradeRowOf {
+		gradeRowOf[si] = -1
+	}
+	gradeBack := st.gradeBack[:0]
 	for ci := range containers {
-		for k, f := range incident[ci] {
-			if si := votes[ci][k]; si >= 0 {
-				row := gradeRows[si]
-				if row == nil {
-					row = make([]float64, len(containers))
-					gradeRows[si] = row
-				}
-				row[ci] += f.Rate
+		for k, f := range incFlows[incOff[ci]:incOff[ci+1]] {
+			si := votes[ci][k]
+			if si < 0 {
+				continue
 			}
+			r := gradeRowOf[si]
+			if r < 0 {
+				r = int32(len(gradeBack) / nC)
+				gradeRowOf[si] = r
+				n := len(gradeBack)
+				gradeBack = slices.Grow(gradeBack, nC)[:n+nC]
+				clear(gradeBack[n:])
+			}
+			gradeBack[int(r)*nC+ci] += f.Rate
 		}
 	}
-	identity := make([]int, len(containers))
+	st.gradeBack = gradeBack
+	identity := take(&st.ints, nC)
 	for ci := range identity {
 		identity[ci] = ci
 	}
-	hostPrefs := make([][]int, len(servers))
+	hostPrefs := grow(st.hostPrefs, nS)
+	st.hostPrefs = hostPrefs
 	sc := assignScratchPool.Get().(*assignScratch)
 	for si := range servers {
-		row := gradeRows[si]
-		if row == nil {
+		r := gradeRowOf[si]
+		if r < 0 {
 			hostPrefs[si] = identity
 			continue
 		}
-		out := make([]int, len(containers))
+		row := gradeBack[int(r)*nC : int(r+1)*nC]
+		out := take(&st.ints, nC)
 		if !sc.stableRankDesc(row, identity, out) {
 			sortDescFallback(row, identity, out)
 		}
@@ -1129,11 +1341,13 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	assignScratchPool.Put(sc)
 
 	// CPU is the binding capacity dimension for the matching.
-	capacity := make([]float64, len(servers))
+	capacity := grow(st.capacity, nS)
+	st.capacity = capacity
 	for si, s := range servers {
 		capacity[si] = float64(req.Cluster.Free(s).CPU)
 	}
-	loads := make([]float64, len(containers))
+	loads := grow(st.loads, nC)
+	st.loads = loads
 	for ci, c := range containers {
 		loads[ci] = float64(req.Cluster.Container(c).Demand.CPU)
 		if loads[ci] <= 0 {
@@ -1141,7 +1355,8 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		}
 	}
 
-	place := func(c cluster.ContainerID, s topology.NodeID) error {
+	place := func(ci int, s topology.NodeID) error {
+		c := containers[ci]
 		if s != topology.None {
 			if err := req.Cluster.Place(c, s); err == nil {
 				return nil
@@ -1149,7 +1364,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		}
 		// Memory (the unmodeled dimension) blocked the slot: fall back to the
 		// original server, then any feasible one.
-		if orig := original[c]; orig != topology.None && orig != s {
+		if orig := original[ci]; orig != topology.None && orig != s {
 			if err := req.Cluster.Place(c, orig); err == nil {
 				return nil
 			}
@@ -1175,7 +1390,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 				}
 			}
 			if !placed {
-				if err := place(c, original[c]); err != nil {
+				if err := place(ci, original[ci]); err != nil {
 					return err
 				}
 			}
@@ -1184,25 +1399,26 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	}
 
 	inst := &stablematch.Instance{
-		NumProposers:  len(containers),
-		NumHosts:      len(servers),
+		NumProposers:  nC,
+		NumHosts:      nS,
 		ProposerPrefs: propPrefs,
 		HostPrefs:     hostPrefs,
 		Load:          loads,
 		Capacity:      capacity,
 	}
-	// Incremental runs keep one Matcher per group alive for the whole
-	// Schedule call: scratch slabs carry over, and an iteration whose
-	// preference build fully memo-hit replays the previous stable matching
-	// (provably identical — deferred acceptance is deterministic). The
-	// DisableIncremental path matches from scratch; parity tests pin the
-	// two bit-equal.
+	// Incremental runs keep one Matcher per group alive across the whole
+	// Schedule call (and, recycled with st, across calls — reset makes it
+	// forget): scratch slabs carry over, and an iteration whose preference
+	// build fully memo-hit replays the previous stable matching (provably
+	// identical — deferred acceptance is deterministic). Every row handed
+	// to it is a slab carving left untouched until reset, which is the
+	// Matcher's replay contract. The DisableIncremental path matches from
+	// scratch; parity tests pin the two bit-equal.
 	var res *stablematch.Result
 	if h.incremental() {
-		if st.matchers[gi] == nil {
-			st.matchers[gi] = &stablematch.Matcher{Workers: h.fanout()}
-		}
-		res, err = st.matchers[gi].Match(inst)
+		m := &st.matchers[gi]
+		m.Workers = h.fanout()
+		res, err = m.MatchShared(inst)
 	} else {
 		res, err = stablematch.Match(inst)
 	}
@@ -1210,12 +1426,11 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		return err
 	}
 	for ci, hostIdx := range res.HostOf {
-		c := containers[ci]
-		target := original[c]
+		target := original[ci]
 		if hostIdx != stablematch.Unmatched {
 			target = servers[hostIdx]
 		}
-		if err := place(c, target); err != nil {
+		if err := place(ci, target); err != nil {
 			return err
 		}
 	}
@@ -1226,7 +1441,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 // each shuffle flow's destination is static; maps are placed greedily in
 // descending shuffle-output order onto the feasible server with the lowest
 // added communication delay, then policies are optimized.
-func (h *HitScheduler) scheduleSubsequentWave(req *scheduler.Request, movable []scheduler.Task, flows []*flow.Flow) error {
+func (h *HitScheduler) scheduleSubsequentWave(req *scheduler.Request, movable []scheduler.Task, flows []*flow.Flow, st *runState) error {
 	loc := req.Locator()
 	tasks := append([]scheduler.Task(nil), movable...)
 	scheduler.SortTasksByShuffleOutput(tasks)
@@ -1270,5 +1485,5 @@ func (h *HitScheduler) scheduleSubsequentWave(req *scheduler.Request, movable []
 	}
 	// Subsequent waves stay sequential: the greedy per-container scan is
 	// RNG- and order-free but cheap, and not worth a sharded variant.
-	return h.reinstallPolicies(nil, req, flows, loc, newRunState())
+	return h.reinstallPolicies(nil, req, flows, loc, st)
 }

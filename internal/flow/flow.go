@@ -50,6 +50,10 @@ func (f *Flow) Validate() error {
 // flow traverses (p.list) with the required switch type at each position
 // (p.type). A flow between two containers on the same server has an empty
 // policy.
+//
+// Policies are immutable once built: List and Types may be shared with the
+// oracle's pair-route and template caches, and the controller retains the
+// installed policy itself. Derive a changed policy with Clone or ApplySwap.
 type Policy struct {
 	Flow  ID
 	List  []topology.NodeID
@@ -190,16 +194,21 @@ func (cm *CostModel) RouteNodes(f *Flow, p *Policy, loc Locator) ([]topology.Nod
 }
 
 // FlowCost is Eq. 2 for a single flow: the sum of segment costs along its
-// actual routing path. Same-server flows cost zero.
+// actual routing path (RouteNodes), walked src → policy → dst in place so
+// no route is materialized. Same-server flows cost zero.
 func (cm *CostModel) FlowCost(f *Flow, p *Policy, loc Locator) (float64, error) {
-	route, err := cm.RouteNodes(f, p, loc)
-	if err != nil {
-		return 0, err
+	src := loc.ServerOf(f.Src)
+	dst := loc.ServerOf(f.Dst)
+	if src == topology.None || dst == topology.None {
+		return 0, fmt.Errorf("flow %d: unplaced endpoint (src %d, dst %d)", f.ID, src, dst)
 	}
 	var total float64
-	for i := 1; i < len(route); i++ {
-		total += cm.SegmentCost(f.Rate, route[i-1], route[i])
+	prev := src
+	for _, w := range p.List {
+		total += cm.SegmentCost(f.Rate, prev, w)
+		prev = w
 	}
+	total += cm.SegmentCost(f.Rate, prev, dst)
 	return total, nil
 }
 
@@ -320,7 +329,9 @@ func (cm *CostModel) MoveUtility(c cluster.ContainerID, s topology.NodeID, flows
 
 // ApplySwap reschedules position i of the policy to switch w
 // (p.list[i] -> ŵ). It fails if w's type differs from the required
-// p.type[i], preserving policy satisfaction.
+// p.type[i], preserving policy satisfaction. Policies share their List
+// with the oracle's route cache and the controller, so the swap writes a
+// fresh copy of the list rather than the shared one.
 func ApplySwap(topo *topology.Topology, p *Policy, i int, w topology.NodeID) error {
 	if i < 0 || i >= len(p.List) {
 		return fmt.Errorf("flow %d: swap position %d out of range", p.Flow, i)
@@ -331,7 +342,9 @@ func ApplySwap(topo *topology.Topology, p *Policy, i int, w topology.NodeID) err
 	if got := topo.Node(w).Type; got != p.Types[i] {
 		return fmt.Errorf("flow %d: swap target type %q, want %q", p.Flow, got, p.Types[i])
 	}
-	p.List[i] = w
+	list := append([]topology.NodeID(nil), p.List...)
+	list[i] = w
+	p.List = list
 	return nil
 }
 

@@ -58,7 +58,7 @@ func (a *Arbiter) Stats() Stats { return a.stats }
 //     equals the snapshot, nothing at all has moved and the field checks
 //     are skipped. Cost presolves (needOld) additionally require the
 //     incumbent policy to be the exact object the worker costed against
-//     (pointer CAS; installed policies are immutable clones);
+//     (pointer CAS; installed policies are immutable);
 //  5. FitsEverywhere(f.Rate) holds LIVE. This is required even when the
 //     epoch is unchanged: workers skip the load-derived feasibility
 //     prescan, so the proposal is the unfiltered-stages solve, and only

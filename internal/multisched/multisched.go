@@ -10,8 +10,9 @@
 // The design is speculation plus ordered replay, not partitioned
 // ownership. Workers only read: the oracle's concurrent-safe read API
 // (distances, type templates, stage lists, the pair-route cache), the
-// locator, and old-policy pointers prefetched before fan-out (Install
-// stores clones, so an installed policy object is immutable). Every
+// locator, and old-policy pointers prefetched before fan-out (policies
+// are immutable once built, so an installed policy object never changes
+// under a reader). Every
 // mutation — Install, Uninstall, Place — happens on the arbiter's
 // goroutine, through its commit entrypoints, in canonical commit order.
 //

@@ -18,9 +18,10 @@ import (
 type Proposal struct {
 	Src, Dst topology.NodeID
 	// OldPolicy is the flow's installed policy at fan-out time, prefetched
-	// sequentially (cost presolves only). Install stores clones, so the
-	// pointed-to object is immutable; pointer equality at commit time
-	// proves the incumbent — and thus OldCost — is still current.
+	// sequentially (cost presolves only). Policies are immutable once
+	// built, so pointer equality at commit time proves the incumbent's
+	// route — and thus OldCost — is still current (a reinstall of the very
+	// same object is the same route).
 	OldPolicy *flow.Policy
 	Policy    *flow.Policy
 	Info      controller.SolveInfo

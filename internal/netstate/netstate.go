@@ -42,7 +42,6 @@ package netstate
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -320,11 +319,22 @@ func (o *Oracle) structuralOK() bool {
 	return o.cached && o.topo.Structural() && o.topo.AllAlive()
 }
 
-// computeDistRow runs a fresh BFS from src, traversing only live nodes
-// (mirroring topology.bfs: a dead source reaches nothing).
-func (o *Oracle) computeDistRow(src topology.NodeID) []int32 {
+// rowBuf returns buf resized to one full distance row when it is big
+// enough, else a fresh row.
+func (o *Oracle) rowBuf(buf []int32) []int32 {
 	n := o.topo.NumNodes()
-	d := make([]int32, n)
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
+// computeDistRow runs a fresh BFS from src into buf (see rowBuf),
+// traversing only live nodes (mirroring topology.bfs: a dead source
+// reaches nothing).
+func (o *Oracle) computeDistRow(buf []int32, src topology.NodeID) []int32 {
+	n := o.topo.NumNodes()
+	d := o.rowBuf(buf)
 	for i := range d {
 		d[i] = -1
 	}
@@ -348,12 +358,12 @@ func (o *Oracle) computeDistRow(src topology.NodeID) []int32 {
 	return d
 }
 
-// structuralRow builds a full distance row from coordinates, O(V) work and
-// nothing retained. ok=false when any query refuses (degraded mid-loop).
-func (o *Oracle) structuralRow(src topology.NodeID) ([]int32, bool) {
-	n := o.topo.NumNodes()
-	d := make([]int32, n)
-	for i := 0; i < n; i++ {
+// structuralRow builds a full distance row from coordinates into buf (see
+// rowBuf), O(V) work and nothing retained. ok=false when any query refuses
+// (degraded mid-loop).
+func (o *Oracle) structuralRow(buf []int32, src topology.NodeID) ([]int32, bool) {
+	d := o.rowBuf(buf)
+	for i := range d {
 		dist, ok := o.topo.StructuralDist(src, topology.NodeID(i))
 		if !ok {
 			return nil, false
@@ -368,14 +378,31 @@ func (o *Oracle) structuralRow(src topology.NodeID) ([]int32, bool) {
 // structural mode the row is computed fresh from coordinates and NOT
 // memoized — per-pair callers should prefer Dist, which needs no row.
 func (o *Oracle) DistRow(src topology.NodeID) []int32 {
+	row, _ := o.DistRowInto(nil, src)
+	return row
+}
+
+// DistRowInto is DistRow for callers that recycle row memory. buf is
+// scratch the call may overwrite. A row the oracle computes fresh and does
+// not keep — structural mode, or an uncached oracle — is written into buf
+// (a new slice when cap(buf) is below NumNodes) and filled reports it; a
+// memoized row is returned shared. Either way the caller must not modify
+// the row, and may reuse buf only after it drops the row.
+func (o *Oracle) DistRowInto(buf []int32, src topology.NodeID) (row []int32, filled bool) {
 	if !o.cached {
-		return o.computeDistRow(src)
+		return o.computeDistRow(buf, src), true
 	}
 	if o.structuralOK() {
-		if row, ok := o.structuralRow(src); ok {
-			return row
+		if row, ok := o.structuralRow(buf, src); ok {
+			return row, true
 		}
 	}
+	return o.memoDistRow(src), false
+}
+
+// memoDistRow returns src's BFS row from the liveness-scoped memo,
+// computing and publishing it on first use.
+func (o *Oracle) memoDistRow(src topology.NodeID) []int32 {
 	o.ensureLive()
 	if row := o.distRows[src].Load(); row != nil {
 		return *row
@@ -385,7 +412,7 @@ func (o *Oracle) DistRow(src topology.NodeID) []int32 {
 	if row := o.distRows[src].Load(); row != nil {
 		return *row
 	}
-	d := o.computeDistRow(src)
+	d := o.computeDistRow(nil, src)
 	o.distRows[src].Store(&d)
 	return d
 }
@@ -523,8 +550,8 @@ func (o *Oracle) computeDAG(src, dst topology.NodeID) *topology.PathDAG {
 	if !o.structuralOK() {
 		return o.topo.ShortestPathDAG(src, dst)
 	}
-	ds, ok1 := o.structuralRow(src)
-	dd, ok2 := o.structuralRow(dst)
+	ds, ok1 := o.structuralRow(nil, src)
+	dd, ok2 := o.structuralRow(nil, dst)
 	if !ok1 || !ok2 {
 		return o.topo.ShortestPathDAG(src, dst)
 	}
@@ -709,10 +736,19 @@ func (o *Oracle) StagesForTemplate(types []string) [][]topology.NodeID {
 		}
 		return stages
 	}
-	key := strings.Join(types, "\x1f")
+	// The key is built in a stack buffer; the lookup's string conversion
+	// does not allocate, only a first insert does.
+	var kb [64]byte
+	key := kb[:0]
+	for i, typ := range types {
+		if i > 0 {
+			key = append(key, '\x1f')
+		}
+		key = append(key, typ...)
+	}
 	o.ensureLive()
 	o.typeMu.RLock()
-	s, ok := o.stages[key]
+	s, ok := o.stages[string(key)]
 	o.typeMu.RUnlock()
 	if ok {
 		return s
@@ -722,7 +758,7 @@ func (o *Oracle) StagesForTemplate(types []string) [][]topology.NodeID {
 		stages[i] = o.SwitchesOfType(typ)
 	}
 	o.typeMu.Lock()
-	o.stages[key] = stages
+	o.stages[string(key)] = stages
 	o.typeMu.Unlock()
 	return stages
 }

@@ -37,7 +37,6 @@
 package netstate
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -306,10 +305,13 @@ func (o *Oracle) solveStages(rate, unit float64, src, dst topology.NodeID, stage
 			dstIdx, dstLift = o.liftEndpoint(t, dst)
 		}
 	}
+	// A disconnected segment (crashes can cut a live switch off) is an
+	// infeasible edge: +Inf, which the DP below skips like any other
+	// unreachable state, so a pair with no finite route reports ok=false.
 	seg := func(a, b topology.NodeID) float64 {
 		d := o.Dist(a, b)
 		if d < 0 {
-			panic(fmt.Sprintf("netstate: segment %d-%d disconnected", a, b))
+			return math.Inf(1)
 		}
 		return rate * unit * float64(d)
 	}

@@ -11,6 +11,12 @@
 // bit-identical to a fresh run). This is the warm start the scheduler's
 // wave loop relies on; any difference in the inputs falls back to a full
 // match, and parity tests pin the two paths equal.
+//
+// Replay contract: the memo aliases the instance's preference rows, and
+// the replay check short-cuts a row that is the very same slice as the
+// memoized one without reading its contents. So a caller must keep every
+// row it passed unchanged until its next Match, MatchShared or Forget
+// call; to rewrite rows in place (recycled slabs), call Forget first.
 package stablematch
 
 import (
@@ -20,8 +26,9 @@ import (
 )
 
 // Matcher reuses scratch slabs across Match calls and replays the previous
-// result when the instance provably did not change. The zero value is ready
-// to use. A Matcher must not be used from multiple goroutines concurrently.
+// result when the instance provably did not change (see the replay
+// contract above). The zero value is ready to use. A Matcher must not be
+// used from multiple goroutines concurrently.
 type Matcher struct {
 	// Workers > 1 chunks the embarrassingly-parallel phases of a match —
 	// instance validation and the dense host-rank fill — across that many
@@ -41,18 +48,28 @@ type Matcher struct {
 	used        []float64
 	tenants     [][]int
 	free        []int
+	seenHosts   []int // validation stamps
+	seenProps   []int
+
+	// res is the last run's Result. Its HostOf and TenantsOf rows are
+	// reused by the next run (TenantsOf rows are carved from tenantBack),
+	// so it is shared: MatchShared hands it out, Match clones it.
+	res        Result
+	tenantBack []int
 
 	// Replay memo: the previous instance (row slices aliased, scalars
-	// copied) and its result.
-	prev    memoInstance
-	prevRes *Result
+	// copied into reused buffers); valid says res is its result.
+	prev  memoInstance
+	valid bool
 }
 
 // memoInstance snapshots the parts of an Instance that determine Match's
-// output. Preference rows are aliased, not copied: callers that rebuild a
-// row in place would defeat the pointer shortcut but still be caught by the
-// content comparison, and callers that reuse rows verbatim (the scheduler's
-// preference memo) hit the cheap path.
+// output. Preference rows are aliased, not copied, and a row that is the
+// same slice as the memoized one matches without a content comparison —
+// hence the replay contract: rows stay unchanged until the next Match,
+// MatchShared or Forget. Rows passed as fresh slices are compared by
+// content. Callers that reuse rows verbatim (the scheduler's preference
+// memo) hit the cheap path.
 type memoInstance struct {
 	numProposers  int
 	numHosts      int
@@ -65,18 +82,40 @@ type memoInstance struct {
 // Match validates the instance and returns a stable matching, replaying the
 // previous result when the instance is provably identical to the last call's
 // (replay skips re-validation too: a bit-identical copy of a valid instance
-// is valid). The returned Result is owned by the caller; the memo keeps its
-// own clone.
+// is valid). The returned Result is owned by the caller.
 func (m *Matcher) Match(in *Instance) (*Result, error) {
-	if m.prevRes != nil && m.prev.matches(in) {
-		return m.prevRes.clone(), nil
+	res, err := m.MatchShared(in)
+	if err != nil {
+		return nil, err
+	}
+	return res.clone(), nil
+}
+
+// MatchShared is Match without the copy: the returned Result is the
+// Matcher's own and stays valid only until the next Match, MatchShared or
+// Forget call. The caller must not modify it.
+func (m *Matcher) MatchShared(in *Instance) (*Result, error) {
+	if m.valid && m.prev.matches(in) {
+		return &m.res, nil
 	}
 	if err := m.validate(in); err != nil {
 		return nil, err
 	}
-	res := m.run(in)
-	m.remember(in, res)
-	return res, nil
+	m.valid = false // run overwrites res in place
+	m.run(in)
+	m.remember(in)
+	return &m.res, nil
+}
+
+// Forget drops the replay memo, keeping the scratch slabs: the next match
+// runs in full whatever it is given. Call it before rewriting rows passed
+// to an earlier match in place.
+func (m *Matcher) Forget() {
+	m.valid = false
+	clear(m.prev.proposerPrefs)
+	clear(m.prev.hostPrefs)
+	m.prev.proposerPrefs = m.prev.proposerPrefs[:0]
+	m.prev.hostPrefs = m.prev.hostPrefs[:0]
 }
 
 // parallelMinRows is the instance size below which the chunked phases run
@@ -95,7 +134,12 @@ func (m *Matcher) validate(in *Instance) error {
 		w = in.NumProposers + in.NumHosts
 	}
 	if w <= 1 || in.NumProposers+in.NumHosts < parallelMinRows {
-		return in.Validate()
+		if err := in.checkDims(); err != nil {
+			return err
+		}
+		m.seenHosts = growInt(m.seenHosts, in.NumHosts)
+		m.seenProps = growInt(m.seenProps, in.NumProposers)
+		return in.checkRows(m.seenHosts, m.seenProps)
 	}
 	if err := in.checkDims(); err != nil {
 		return err
@@ -134,18 +178,27 @@ func (m *Matcher) validate(in *Instance) error {
 	return in.checkVectors()
 }
 
-// remember snapshots the instance and result for the next call's replay
-// check.
-func (m *Matcher) remember(in *Instance, res *Result) {
-	m.prev = memoInstance{
-		numProposers:  in.NumProposers,
-		numHosts:      in.NumHosts,
-		proposerPrefs: append([][]int(nil), in.ProposerPrefs...),
-		hostPrefs:     append([][]int(nil), in.HostPrefs...),
-		load:          append([]float64(nil), in.Load...),
-		capacity:      append([]float64(nil), in.Capacity...),
+// remember snapshots the instance, whose result run just left in m.res,
+// for the next call's replay check. The snapshot reuses the previous
+// one's buffers.
+func (m *Matcher) remember(in *Instance) {
+	mi := &m.prev
+	mi.numProposers = in.NumProposers
+	mi.numHosts = in.NumHosts
+	mi.proposerPrefs = append(mi.proposerPrefs[:0], in.ProposerPrefs...)
+	mi.hostPrefs = append(mi.hostPrefs[:0], in.HostPrefs...)
+	mi.load = copyFloats(mi.load, in.Load)
+	mi.capacity = copyFloats(mi.capacity, in.Capacity)
+	m.valid = true
+}
+
+// copyFloats copies src into dst's storage, keeping src's nil-ness (nil
+// means "defaults apply", which the replay check tells apart).
+func copyFloats(dst, src []float64) []float64 {
+	if src == nil {
+		return nil
 	}
-	m.prevRes = res.clone()
+	return append(dst[:0], src...)
 }
 
 // matches reports whether in would provably reproduce the memoized result:
@@ -206,12 +259,12 @@ func sameFloatBits(a, b []float64) bool {
 // clone deep-copies a Result so memo and caller cannot alias.
 func (r *Result) clone() *Result {
 	out := &Result{
-		HostOf:    append([]int(nil), r.HostOf...),
+		HostOf:    append(make([]int, 0, len(r.HostOf)), r.HostOf...),
 		TenantsOf: make([][]int, len(r.TenantsOf)),
 		Rounds:    r.Rounds,
 	}
 	for h, t := range r.TenantsOf {
-		out.TenantsOf[h] = append([]int(nil), t...)
+		out.TenantsOf[h] = append(make([]int, 0, len(t)), t...)
 	}
 	return out
 }
@@ -269,6 +322,13 @@ func growFloat(s []float64, n int) []float64 {
 func growRows(s [][]int32, n int) [][]int32 {
 	if cap(s) < n {
 		return make([][]int32, n)
+	}
+	return s[:n]
+}
+
+func growIntRows(s [][]int, n int) [][]int {
+	if cap(s) < n || s == nil {
+		return make([][]int, n)
 	}
 	return s[:n]
 }

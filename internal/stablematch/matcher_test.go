@@ -158,3 +158,67 @@ func TestMatcherWorkersParity(t *testing.T) {
 		t.Fatalf("validation errors diverge: seq=%v par=%v", errSeq, errPar)
 	}
 }
+
+// TestMatcherForgetThenRewriteInPlace pins the replay contract: a caller
+// that recycles its preference rows (rewrites them in place between
+// matches) calls Forget first, and the next match then equals a fresh
+// Match of the rewritten instance — the memo's same-slice shortcut never
+// sees the stale rows. MatchShared must agree with Match throughout.
+func TestMatcherForgetThenRewriteInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const nP, nH = 9, 4
+	caps := []float64{3, 2, 2, 3}
+	in := randInstance(rng, nP, nH, caps)
+	m := &Matcher{}
+	for round := 0; round < 6; round++ {
+		want, err := Match(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.MatchShared(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: recycled Matcher diverged from a fresh Match:\n got %+v\nwant %+v", round, got, want)
+		}
+		// Rewrite every row in place with a different instance's rows.
+		m.Forget()
+		next := randInstance(rng, nP, nH, caps)
+		for p := range in.ProposerPrefs {
+			copy(in.ProposerPrefs[p], next.ProposerPrefs[p])
+		}
+		for h := range in.HostPrefs {
+			copy(in.HostPrefs[h], next.HostPrefs[h])
+		}
+	}
+}
+
+// TestMatchSharedIsMatcherOwned: MatchShared returns the Matcher's own
+// Result (same object on replay) while Match hands out a private copy.
+func TestMatchSharedIsMatcherOwned(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	in := randInstance(rng, 6, 3, []float64{2, 2, 2})
+	m := &Matcher{}
+	a, err := m.MatchShared(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.MatchShared(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("replayed MatchShared returned a different Result object")
+	}
+	c, err := m.Match(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a || &c.HostOf[0] == &a.HostOf[0] {
+		t.Fatal("Match returned the Matcher's shared Result")
+	}
+	if !reflect.DeepEqual(c, a) {
+		t.Fatalf("Match and MatchShared disagree: %+v vs %+v", c, a)
+	}
+}

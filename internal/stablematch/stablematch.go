@@ -57,15 +57,19 @@ func (in *Instance) Validate() error {
 	if err := in.checkDims(); err != nil {
 		return err
 	}
-	// Duplicate detection via one stamp array per side (stamp = row index
-	// + 1), instead of allocating a set per row.
-	seenHosts := make([]int, in.NumHosts)
+	return in.checkRows(make([]int, in.NumHosts), make([]int, in.NumProposers))
+}
+
+// checkRows is Validate after checkDims, over zeroed stamp slabs of
+// NumHosts and NumProposers entries: duplicate detection via one stamp
+// array per side (stamp = row index + 1), instead of allocating a set per
+// row.
+func (in *Instance) checkRows(seenHosts, seenProps []int) error {
 	for p := range in.ProposerPrefs {
 		if err := in.checkProposerRow(p, seenHosts); err != nil {
 			return err
 		}
 	}
-	seenProps := make([]int, in.NumProposers)
 	for h := range in.HostPrefs {
 		if err := in.checkHostRow(h, seenProps); err != nil {
 			return err
@@ -172,12 +176,15 @@ func Match(in *Instance) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	return new(Matcher).run(in), nil
+	m := new(Matcher)
+	m.run(in)
+	return &m.res, nil // the throwaway Matcher hands its Result over whole
 }
 
-// run executes deferred acceptance over m's scratch slabs. The instance must
-// already be validated. The returned Result shares nothing with the scratch.
-func (m *Matcher) run(in *Instance) *Result {
+// run executes deferred acceptance over m's scratch slabs and leaves the
+// outcome in m.res, overwriting the previous one. The instance must
+// already be validated.
+func (m *Matcher) run(in *Instance) {
 	nP, nH := in.NumProposers, in.NumHosts
 
 	// hostRank[h][p] = 1 + rank of proposer p at host h (lower is better);
@@ -228,7 +235,11 @@ func (m *Matcher) run(in *Instance) *Result {
 
 	m.next = growInt(m.next, nP) // next index into ProposerPrefs[p]
 	next := m.next
-	hostOf := make([]int, nP) // escapes into the Result: always fresh
+	hostOf := m.res.HostOf
+	if cap(hostOf) < nP || hostOf == nil {
+		hostOf = make([]int, nP)
+	}
+	hostOf = hostOf[:nP]
 	for p := range hostOf {
 		hostOf[p] = Unmatched
 	}
@@ -307,18 +318,25 @@ func (m *Matcher) run(in *Instance) *Result {
 	}
 	m.free = free[:0]
 
-	res := &Result{HostOf: hostOf, TenantsOf: make([][]int, nH), Rounds: rounds}
+	// Present tenants in host preference order. Every proposer sits with
+	// at most one host, so all rows fit one nP-entry slab (never regrown
+	// here); each row is capped at its own length.
+	tenantsOf := growIntRows(m.res.TenantsOf, nH)
+	if cap(m.tenantBack) < nP || m.tenantBack == nil {
+		m.tenantBack = make([]int, 0, nP)
+	}
+	back := m.tenantBack[:0]
 	for h := range tenants {
-		// Present tenants in host preference order.
-		ordered := make([]int, 0, len(tenants[h]))
+		start := len(back)
 		for _, p := range in.HostPrefs[h] {
 			if hostOf[p] == h {
-				ordered = append(ordered, p)
+				back = append(back, p)
 			}
 		}
-		res.TenantsOf[h] = ordered
+		tenantsOf[h] = back[start:len(back):len(back)]
 	}
-	return res
+	m.tenantBack = back
+	m.res = Result{HostOf: hostOf, TenantsOf: tenantsOf, Rounds: rounds}
 }
 
 // BlockingPair describes a proposer/host pair that would both rather be

@@ -87,6 +87,35 @@ type structure struct {
 
 	// BCube: base n and levels = k+1 digit positions.
 	n, levels int
+
+	// tmpls are the interned stage templates StageTemplate hands out for
+	// Tree (tmpls[top], the palindrome up to tier top), Fat-Tree and VL2
+	// (tmpls[0..2]: one, three and five stages). Shared and read-only, so
+	// a template costs no allocation per pair.
+	tmpls [][]string
+}
+
+// internTemplates builds s.tmpls from s.types.
+func (s *structure) internTemplates() {
+	palindrome := func(top int) []string {
+		tmpl := make([]string, 2*top+1)
+		for i := 0; i <= top; i++ {
+			tmpl[i] = s.types[i]
+			tmpl[len(tmpl)-1-i] = s.types[i]
+		}
+		return tmpl
+	}
+	s.tmpls = nil
+	switch s.family {
+	case FamilyTree:
+		for top := range s.types {
+			s.tmpls = append(s.tmpls, palindrome(top))
+		}
+	case FamilyFatTree, FamilyVL2:
+		for top := 0; top < 3 && top < len(s.types); top++ {
+			s.tmpls = append(s.tmpls, palindrome(top))
+		}
+	}
 }
 
 // maxBCubeDigits bounds BCube address width for stack-allocated digit
@@ -211,6 +240,8 @@ func (t *Topology) LowestCommonTier(a, b NodeID) (int, bool) {
 // path between two SERVERS — exactly the types of the interior nodes of
 // ShortestPath(a, b), without materializing the path. nil (ok=true) when
 // a == b. ok=false for non-servers, irregular topologies, or degraded graphs.
+// The returned slice is shared (interned per tier on Tree, Fat-Tree and
+// VL2); callers must not modify it.
 func (t *Topology) StageTemplate(a, b NodeID) ([]string, bool) {
 	if t.arch.family == FamilyIrregular || t.numDead > 0 ||
 		!t.Valid(a) || !t.Valid(b) || !t.nodes[a].IsServer() || !t.nodes[b].IsServer() {
@@ -224,29 +255,24 @@ func (t *Topology) StageTemplate(a, b NodeID) ([]string, bool) {
 	switch t.arch.family {
 	case FamilyTree:
 		top, _ := t.LowestCommonTier(a, b)
-		tmpl := make([]string, 2*top+1)
-		for i := 0; i <= top; i++ {
-			tmpl[i] = types[i]
-			tmpl[len(tmpl)-1-i] = types[i]
-		}
-		return tmpl, true
+		return t.arch.tmpls[top], true
 	case FamilyFatTree:
 		switch {
 		case ca.pod == cb.pod && ca.idx/int32(t.arch.half) == cb.idx/int32(t.arch.half):
-			return []string{types[0]}, true
+			return t.arch.tmpls[0], true
 		case ca.pod == cb.pod:
-			return []string{types[0], types[1], types[0]}, true
+			return t.arch.tmpls[1], true
 		default:
-			return []string{types[0], types[1], types[2], types[1], types[0]}, true
+			return t.arch.tmpls[2], true
 		}
 	case FamilyVL2:
 		switch {
 		case ca.pod == cb.pod:
-			return []string{types[0]}, true
+			return t.arch.tmpls[0], true
 		case t.vl2RacksShareAgg(int(ca.pod), int(cb.pod)):
-			return []string{types[0], types[1], types[0]}, true
+			return t.arch.tmpls[1], true
 		default:
-			return []string{types[0], types[1], types[2], types[1], types[0]}, true
+			return t.arch.tmpls[2], true
 		}
 	case FamilyBCube:
 		// The lowest-ID shortest path corrects differing digits in ascending

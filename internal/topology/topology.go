@@ -537,7 +537,10 @@ func (b *Builder) setCoord(id NodeID, pod, idx int) {
 
 // setStructure records the architecture descriptor; only the architecture
 // generators call it.
-func (b *Builder) setStructure(s structure) { b.t.arch = s }
+func (b *Builder) setStructure(s structure) {
+	s.internTemplates()
+	b.t.arch = s
+}
 
 // AddSwitch appends a switch node with the given type, tier and capacity and
 // returns its ID. Pass math.Inf(1) for an unconstrained switch.
